@@ -85,12 +85,15 @@ class MinHasher:
         """Batch form of :meth:`signature_of_hashes` over many documents.
 
         Concatenates all shingle-hash arrays and evaluates each permutation
-        once over the whole batch with per-document segment minima
+        once per *distinct* value of the batch (documents of one corpus
+        share most shingles), then gathers the permuted values back per
+        document and takes per-document segment minima
         (``np.minimum.reduceat``).  The arithmetic is the exact same
         ``(a*x + b) mod p`` in uint64, so every returned signature is
         bit-identical to the per-document path — only the Python-level
         loop count drops from ``permutations * documents`` to
-        ``permutations``.
+        ``permutations``.  One permutation's row is alive at a time, so
+        memory stays linear in the batch.
         """
         out: "list[MinHashSignature]" = [None] * len(hash_arrays)  # type: ignore[list-item]
         nonempty = [i for i, arr in enumerate(hash_arrays) if arr.size]
@@ -105,19 +108,28 @@ class MinHasher:
             np.concatenate([hash_arrays[i] for i in nonempty]).astype(np.uint64)
             % _PRIME
         )
+        distinct, inverse = np.unique(concat, return_inverse=True)
         sizes = np.array([hash_arrays[i].size for i in nonempty], dtype=np.int64)
         offsets = np.zeros(len(nonempty), dtype=np.int64)
         np.cumsum(sizes[:-1], out=offsets[1:])
-        mins = np.empty((len(nonempty), self.num_permutations), dtype=np.uint64)
+        # permutation-major, so each permutation writes one contiguous row
+        mins = np.empty((self.num_permutations, len(nonempty)), dtype=np.uint64)
         for p in range(self.num_permutations):
-            row = (self._a[p] * concat + self._b[p]) % _PRIME
-            mins[:, p] = np.minimum.reduceat(row, offsets)
+            row = (self._a[p] * distinct + self._b[p]) % _PRIME
+            mins[p] = np.minimum.reduceat(row[inverse], offsets)
         for j, i in enumerate(nonempty):
-            out[i] = MinHashSignature(values=mins[j].copy())
+            out[i] = MinHashSignature(values=mins[:, j].copy())
         return out
 
     def signatures(self, texts) -> "list[MinHashSignature]":
-        """Batch signatures of raw texts; equals ``[signature(t) for t in texts]``."""
+        """Batch signatures of raw texts; equals ``[signature(t) for t in texts]``.
+
+        The shingle-hash memo lives for this call only: documents of one
+        batch hash each distinct shingle once, and nothing is kept on
+        the hasher, so it pickles (and checkpoints) the same before and
+        after.
+        """
+        memo: "dict[str, int]" = {}
         return self.signatures_of_hashes(
-            [shingle_hashes(t, self.shingle_width) for t in texts]
+            [shingle_hashes(t, self.shingle_width, memo) for t in texts]
         )

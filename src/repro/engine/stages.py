@@ -19,7 +19,6 @@ from repro.dedup.dedup import DEFAULT_DEDUP_THRESHOLD, StreamingDeduplicator
 from repro.dedup.minhash import DEFAULT_NUM_PERMUTATIONS
 from repro.engine.registry import register_stage
 from repro.engine.stage import FilterStage, StatefulStage
-from repro.verilog import check_syntax
 from repro.verilog.fastlex import check_syntax_fast
 
 
@@ -73,18 +72,15 @@ class CopyrightFilterStage(FilterStage):
 class SyntaxCheckStage(FilterStage):
     """Drops files the Verilog front end rejects.
 
-    Uses the regex-accelerated lexer by default — verdict-identical to
+    Runs the one-pass ``fastlex`` lexer — verdict-identical to
     :func:`repro.verilog.check_syntax` by the fastlex equivalence
-    contract; pass ``fast=False`` to run the reference lexer instead.
+    contract, which keeps the reference lexer as its test oracle.
     """
 
     name = "syntax_check"
 
-    def __init__(self, fast: bool = True) -> None:
-        self._check = check_syntax_fast if fast else check_syntax
-
     def accepts(self, item: Any) -> bool:
-        return self._check(item.content).ok
+        return check_syntax_fast(item.content).ok
 
 
 @register_stage("dedup")

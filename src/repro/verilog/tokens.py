@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenKind(enum.Enum):
@@ -52,9 +52,13 @@ MULTI_CHAR_OPS = (
 SINGLE_CHAR_OPS = frozenset("+-*/%><=!&|^~?:;,.()[]{}#@")
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexed token with source position for error reporting."""
+class Token(NamedTuple):
+    """A single lexed token with source position for error reporting.
+
+    A plain named tuple: immutable, hashable, equal field for field, and
+    cheap to build (the lexers create one per token).  Being a tuple it
+    also indexes and unpacks as ``kind, text, line, col``.
+    """
 
     kind: TokenKind
     text: str

@@ -176,6 +176,21 @@ class TestFunnelReportEdges:
 
 
 class TestPipeline:
+    def test_deeply_nested_file_is_dropped_not_fatal(self):
+        good = "module good(input wire a, output wire y);\n  assign y = a;\nendmodule\n"
+        deep = (
+            "module deep(output wire y);\n  assign y = "
+            + "(" * 3000 + "1'b1" + ")" * 3000 + ";\nendmodule\n"
+        )
+        files = [
+            scraped(good, file_id="r/a:src/good.v"),
+            scraped(deep, file_id="r/b:src/deep.v"),
+        ]
+        dataset = CurationPipeline(CurationConfig(dedup=False)).run(files)
+        assert [f.file_id for f in dataset.files] == ["r/a:src/good.v"]
+        syntax = dataset.funnel.stage("syntax_check")
+        assert (syntax.in_count, syntax.out_count) == (2, 1)
+
     def test_full_funnel_order_and_monotonicity(self, raw_files):
         dataset = CurationPipeline().run(raw_files)
         names = [s.name for s in dataset.funnel.stages]

@@ -1,5 +1,8 @@
 """Tests and properties for shingling, MinHash, LSH, and dedup."""
 
+import pickle
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,9 @@ from repro.dedup import (
     shingles,
 )
 from repro.dedup.jaccard import text_jaccard
+from repro.dedup.minhash import _PRIME
+from repro.dedup.shingle import _stable_hash64
+from repro.engine.stages import DedupStage
 
 
 class TestShingles:
@@ -44,6 +50,19 @@ class TestShingles:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             shingles("a", width=0)
+
+    def test_hashes_are_the_stable_hash_of_each_shingle(self):
+        text = "module m(input a, output y); assign y = ~a; endmodule"
+        expected = sorted(_stable_hash64(s) for s in shingles(text, 3))
+        assert shingle_hashes(text, 3).tolist() == expected
+
+    def test_memo_is_filled_and_never_changes_values(self):
+        text = "module m(input a, output y); assign y = ~a; endmodule"
+        memo = {}
+        first = shingle_hashes(text, 3, memo)
+        assert set(memo) == shingles(text, 3)
+        assert np.array_equal(shingle_hashes(text, 3, memo), first)
+        assert np.array_equal(shingle_hashes(text, 3), first)
 
 
 class TestJaccard:
@@ -98,6 +117,67 @@ class TestMinHashProperties:
                 MinHasher(num_permutations=16).signature("a"),
                 MinHasher(num_permutations=32).signature("a"),
             )
+
+
+#: A batch with shared shingles, exact and near duplicates, and empties
+#: (an empty text and a comment-only one both have no shingles).
+BATCH = [
+    "module a(input x, output y); assign y = x; endmodule",
+    "module a(input x, output y); assign y = x; endmodule",
+    "",
+    "module b(input x, output y); assign y = ~x; endmodule",
+    "// only a comment",
+    "module a(input x, output y); assign y = x & x; endmodule",
+    "wire",
+]
+
+
+class TestBatchedSignatures:
+    def test_batch_is_bit_identical_to_per_document(self):
+        hasher = MinHasher()
+        batch = hasher.signatures(BATCH)
+        single = [hasher.signature(text) for text in BATCH]
+        assert len(batch) == len(single)
+        for got, want in zip(batch, single):
+            assert got.values.dtype == want.values.dtype == np.uint64
+            assert got.values.tobytes() == want.values.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(texts, max_size=6))
+    def test_batch_matches_per_document_on_generated_texts(self, batch):
+        hasher = MinHasher(num_permutations=32)
+        batch = batch + batch[:2]  # with duplicate documents
+        for got, text in zip(hasher.signatures(batch), batch):
+            assert got.values.tobytes() == hasher.signature(text).values.tobytes()
+
+    def test_distinct_value_path_matches_direct_path(self):
+        hasher = MinHasher(num_permutations=64)
+        rng = np.random.default_rng(7)
+        pool = rng.integers(0, 2**63, size=40, dtype=np.uint64)
+        # x and x + p are different hashes but the same permutation input.
+        pool = np.concatenate([pool, pool[:5] + _PRIME])
+        arrays = [
+            np.unique(rng.choice(pool, size=size)) for size in (1, 12, 30, 30)
+        ] + [np.empty(0, dtype=np.uint64), pool]
+        batch = hasher.signatures_of_hashes(arrays)
+        for got, arr in zip(batch, arrays):
+            want = hasher.signature_of_hashes(arr)
+            assert got.values.tobytes() == want.values.tobytes()
+
+    def test_memo_does_not_outlive_the_call(self):
+        hasher = MinHasher()
+        before = pickle.dumps(hasher)
+        hasher.signatures(BATCH)
+        assert pickle.dumps(hasher) == before
+
+    def test_dedup_stage_checkpoint_does_not_grow(self):
+        stage = DedupStage()
+        empty = pickle.dumps(stage.dedup.hasher)
+        stage.process([
+            SimpleNamespace(file_id=f"r/{i}:a.v", content=text)
+            for i, text in enumerate(BATCH)
+        ])
+        assert pickle.dumps(stage.state_dict().hasher) == empty
 
 
 class TestLSH:

@@ -11,6 +11,8 @@ from repro.llm import LanguageModel
 from repro.vereval import (
     EvalConfig,
     build_problem_set,
+    check_candidate_source,
+    check_candidates_lockstep,
     check_completion,
     evaluate_model,
     pass_at_k,
@@ -105,6 +107,24 @@ class TestCheckCompletion:
     def test_syntax_failure(self):
         ok, reason = check_completion(self._problem(), "\n  garbage (((")
         assert not ok and reason == "syntax"
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            "wire deep_w = " + "(" * 3000 + "1'b1" + ")" * 3000 + ";",
+            "wire [3:0] hex_w = 4'dA;",
+        ],
+        ids=["deep-nesting", "hex-digit-decimal"],
+    )
+    def test_hostile_front_end_input_is_syntax_not_internal(self, item):
+        problem = self._problem()
+        hostile = problem.golden_source.replace(
+            "endmodule", item + "\nendmodule"
+        )
+        assert check_candidate_source(problem, hostile) == (False, "syntax")
+        assert check_candidates_lockstep(
+            problem, [hostile, problem.golden_source]
+        ) == [(False, "syntax"), (True, "")]
 
     def test_wrong_logic_fails(self):
         problem = self._problem()

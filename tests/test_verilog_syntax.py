@@ -1,6 +1,10 @@
 """Tests for the syntax checker (the Icarus-substitute filter)."""
 
-from repro.verilog import check_syntax
+import pytest
+
+from repro.errors import ParseError
+from repro.verilog import check_syntax, check_syntax_fast
+from repro.verilog.parser import parse_source, parse_source_fast
 
 
 GOOD = """
@@ -66,6 +70,40 @@ class TestRejects:
 
     def test_empty_file(self):
         assert not check_syntax("").ok
+
+    @pytest.mark.parametrize("check", [check_syntax, check_syntax_fast])
+    def test_hex_digits_in_decimal_literal(self, check):
+        # 'dA lexes as a based literal; its value is a syntax error, not
+        # a ValueError escaping the checker.
+        report = check("module m; wire [3:0] x = 4'dA; endmodule")
+        assert not report.ok
+        assert "invalid for base 10" in report.errors[0]
+
+
+#: far deeper than the recursive descent can follow
+DEEP = (
+    "module deep(output wire y);\n  assign y = "
+    + "(" * 3000 + "1'b1" + ")" * 3000 + ";\nendmodule\n"
+)
+
+
+class TestDeepNesting:
+    """A hostile nesting depth is a syntax error, never a crash."""
+
+    @pytest.mark.parametrize("parse", [parse_source, parse_source_fast])
+    def test_parse_raises_parse_error(self, parse):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse(DEEP)
+
+    @pytest.mark.parametrize("check", [check_syntax, check_syntax_fast])
+    def test_checkers_reject(self, check):
+        report = check(DEEP)
+        assert not report.ok
+        assert "nesting too deep" in report.errors[0]
+
+    def test_moderate_nesting_still_parses(self):
+        source = DEEP.replace("(" * 3000, "(" * 20).replace(")" * 3000, ")" * 20)
+        assert check_syntax(source).ok and check_syntax_fast(source).ok
 
 
 class TestWorldCorruptions:
