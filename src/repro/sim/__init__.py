@@ -51,8 +51,7 @@ order, same round bound, same ``SimulationError`` classification for true
 combinational loops (*fixpoint fallback*).  The batch backend narrows
 further: designs that do not levelize fall back to the scalar backends
 (*scalar fallback*) — signals wider than the 63-bit int64 lane budget
-instead ride exact python-int *spill* lanes, and 1-bit-dominated control
-designs pack all lanes into per-bit *bitslice* planes (census in
+instead ride exact python-int *spill* lanes (census in
 :func:`repro.sim.batch.lane_representation`, pinnable via
 ``REPRO_SIM_LANES``) — and the rare lane that hits an unrepresentable
 runtime construct replays on the scalar path — so per-lane values and
@@ -113,7 +112,6 @@ from repro.sim.batch import (
     configured_lane_representation,
     lane_representation,
     lockstep_shape_digest,
-    make_batch_simulator,
 )
 from repro.sim.coverage import CoverageTracker, POINTS_PER_BIT
 from repro.sim.testbench import (
@@ -158,7 +156,6 @@ __all__ = [
     "configured_lane_representation",
     "lane_representation",
     "lockstep_shape_digest",
-    "make_batch_simulator",
     "default_backend",
     "set_default_backend",
     "CoverageTracker",

@@ -19,17 +19,13 @@ interpreter and the scalar compiled backend:
   per-lane cone chasing.
 
 Per-slot storage is picked per design by a width census
-(:func:`lane_representation`) over three *lane representations*:
+(:func:`lane_representation`) over two *lane representations*:
 
 * ``int64`` — the baseline: one ``int64`` per lane, masked arithmetic;
 * ``spill`` — multi-word python-int lanes (``object`` dtype) for designs
   carrying >63-bit signals or memories, which previously fell back to
   the scalar loop; numpy dispatches the same vectorized lowering to the
-  python-int dunders, exact at any width (see :class:`_SpillCompiler`);
-* ``bitslice`` — for 1-bit-dominated control designs, each bit position
-  packs all lanes into one int and logic lowers to a handful of bitwise
-  ops per node (:mod:`repro.sim.bitslice`); arithmetic-heavy nodes stay
-  on the embedded int64 image and convert at the boundary.
+  python-int dunders, exact at any width (see :class:`_SpillCompiler`).
 
 The backend is intentionally narrower than the scalar one, with a
 *scalar-fallback contract* mirroring the fixpoint-fallback contract of
@@ -119,7 +115,6 @@ __all__ = [
     "is_stateless_comb",
     "lane_representation",
     "lockstep_shape_digest",
-    "make_batch_simulator",
 ]
 
 #: int64 lanes hold nonnegative two's-complement values in bits 0..62;
@@ -130,9 +125,8 @@ _I64 = np.int64
 
 #: the selectable lane representations, census-picked per design:
 #: ``int64`` (one int64 per lane), ``spill`` (python-int object lanes for
-#: >63-bit designs), ``bitslice`` (one bit-plane int packing all lanes,
-#: for 1-bit-dominated designs — see :mod:`repro.sim.bitslice`)
-REPRESENTATIONS = ("int64", "spill", "bitslice")
+#: >63-bit designs)
+REPRESENTATIONS = ("int64", "spill")
 
 _REP_ENV = "REPRO_SIM_LANES"
 
@@ -178,34 +172,25 @@ def lane_representation(design: Design) -> str:
 
     Any signal or memory wider than the int64 lane budget forces
     ``"spill"`` (python-int lanes run the design instead of falling back
-    to the scalar loop).  Narrow designs dominated by 1-bit nets and
-    without memories pick ``"bitslice"``; everything else stays on
-    ``"int64"``.  A :func:`configure_lane_representation` /
-    ``REPRO_SIM_LANES`` pin overrides the census — except that pinning a
-    wide design to ``"int64"`` restores the historical
-    :class:`UnbatchableDesign` → scalar-fallback behaviour (the pin the
-    fallback-path tests use).
+    to the scalar loop); everything else stays on ``"int64"``.  A
+    :func:`configure_lane_representation` / ``REPRO_SIM_LANES`` pin
+    overrides the census — except that pinning a wide design to
+    ``"int64"`` restores the historical :class:`UnbatchableDesign` →
+    scalar-fallback behaviour (the pin the fallback-path tests use).
     """
-    widths = [sig.width for sig in design.signals.values()]
-    mem_widths = [memory.width for memory in design.memories.values()]
-    wide = any(w > _MAX_LANE_WIDTH for w in widths) or any(
-        w > _MAX_LANE_WIDTH for w in mem_widths
-    )
     pin = configured_lane_representation()
-    if wide:
+    if _is_wide(design):
         return "int64" if pin == "int64" else "spill"
-    if pin is not None:
-        return pin
-    one_bit = sum(1 for w in widths if w == 1)
-    if (
-        widths
-        and not mem_widths
-        and 2 * one_bit >= len(widths)
-        and sum(widths) <= 256
-        and max(widths) <= 16
-    ):
-        return "bitslice"
-    return "int64"
+    return pin or "int64"
+
+
+def _is_wide(design: Design) -> bool:
+    """Some signal or memory is wider than the int64 lane budget."""
+    return any(
+        sig.width > _MAX_LANE_WIDTH for sig in design.signals.values()
+    ) or any(
+        memory.width > _MAX_LANE_WIDTH for memory in design.memories.values()
+    )
 
 
 class UnbatchableDesign(UncompilableDesign):
@@ -309,7 +294,7 @@ def batch_design(design: Design, n_lanes: int,
     """Lower ``design`` for ``n_lanes`` lanes, caching per (lanes, rep).
 
     The lane representation defaults to the :func:`lane_representation`
-    width census (int64 / spill / bitslice); pass one explicitly to
+    width census (int64 / spill); pass one explicitly to
     bypass the census.  Raises :class:`UnbatchableDesign` when the
     design cannot be lane lowered under the chosen representation (not
     levelizable, or wider than an int64 lane budget that applies); the
@@ -318,10 +303,6 @@ def batch_design(design: Design, n_lanes: int,
     scalar compile cache.  ``n_lanes`` must be at least 1; asking for
     zero or negative lanes is a caller bug surfaced as ``ValueError``
     instead of an empty-array failure deep inside numpy.
-
-    A bitslice request that the plane lowerer cannot honour degrades to
-    the int64 image (counted as ``bitslice.fallback_int64``) — bitslice
-    is an accelerator, never a correctness dependency.
     """
     if n_lanes < 1:
         raise ValueError(f"n_lanes must be >= 1, got {n_lanes}")
@@ -342,11 +323,7 @@ def batch_design(design: Design, n_lanes: int,
             raise UnbatchableDesign("design is not lane-parallelizable")
         return cached
     try:
-        if rep == "bitslice":
-            from repro.sim import bitslice as _bitslice
-
-            bd = _bitslice.compile_bitslice(design, n_lanes)
-        elif rep == "spill":
+        if rep == "spill":
             bd = _SpillCompiler(design, n_lanes).compile()
         else:
             bd = _BatchCompiler(design, n_lanes).compile()
@@ -356,30 +333,6 @@ def batch_design(design: Design, n_lanes: int,
     obs.count(f"batch.rep.{bd.representation}")
     cache[key] = bd
     return bd
-
-
-def make_batch_simulator(design: Design, n_lanes: int = 1,
-                         max_settle_rounds: Optional[int] = None,
-                         representation: Optional[str] = None):
-    """Census-dispatching simulator constructor.
-
-    Returns a :class:`~repro.sim.bitslice.BitsliceSimulator` when the
-    width census (or an explicit ``representation``) picks the bit-plane
-    backend and the design plane-lowers, else a plain
-    :class:`BatchSimulator` over the int64/spill image.  This is the
-    constructor the sweep and checking fast paths use; constructing
-    :class:`BatchSimulator` directly on a bitslice-census design simply
-    runs its embedded int64 image.
-    """
-    bd = batch_design(design, n_lanes, representation)
-    if bd.representation == "bitslice":
-        from repro.sim.bitslice import BitsliceSimulator
-
-        return BitsliceSimulator(design, bd, max_settle_rounds)
-    return BatchSimulator(
-        design, max_settle_rounds, n_lanes=n_lanes,
-        representation=bd.representation,
-    )
 
 
 def is_stateless_comb(bd: BatchDesign) -> bool:
@@ -1623,13 +1576,8 @@ class BatchSimulator(Simulator):
     """
 
     def __init__(self, design: Design, max_settle_rounds: Optional[int] = None,
-                 backend: Optional[str] = None, n_lanes: int = 1,
-                 representation: Optional[str] = None):
-        bd = batch_design(design, n_lanes, representation)
-        if bd.representation == "bitslice":
-            # A plain lane simulator cannot run bit planes; use the int64
-            # image embedded in the bitslice artifact instead.
-            bd = bd.base
+                 backend: Optional[str] = None, n_lanes: int = 1):
+        bd = batch_design(design, n_lanes)
         self.design = design
         self.bdesign = bd
         self.n_lanes = n_lanes
@@ -1751,7 +1699,7 @@ class BatchSimulator(Simulator):
         """Per-lane poke (alias of :meth:`poke` with an array value)."""
         self.poke(name, values)
 
-    def _trigger_bits(self) -> List[np.ndarray]:
+    def _trigger_snapshot(self) -> List[np.ndarray]:
         # Trigger bits normalize to int64 even for object lanes: edge
         # detection compares and boolean-combines these arrays, and the
         # resulting lane predicates must be numpy-bool (object-dtype
@@ -1761,9 +1709,6 @@ class BatchSimulator(Simulator):
         if self.bdesign.lane_dtype is object:
             bits = [b.astype(_I64) for b in bits]
         return bits
-
-    def _trigger_snapshot(self) -> List[np.ndarray]:
-        return self._trigger_bits()
 
     # -- settle / edges ------------------------------------------------------
 
@@ -1777,7 +1722,7 @@ class BatchSimulator(Simulator):
     def _fire_edges(self, snapshot: List[np.ndarray]) -> None:
         seq = self.bdesign.seq
         for _ in range(self._max_rounds):
-            current = self._trigger_bits()
+            current = self._trigger_snapshot()
             fired = []
             for triggers, body in seq:
                 lanes = None
@@ -1866,32 +1811,21 @@ def lockstep_shape_digest(design: Design) -> str:
 def _group_representation(design: Design) -> str:
     """Lane representation a lockstep group of this shape runs under.
 
-    Lockstep lanes carry *different candidate designs*, so the
-    per-design bitslice census does not apply: groups run on plain
-    ``int64`` lanes, or on the multi-word ``spill`` representation when
-    any signal or memory is wider than the int64 budget.  Pinning the
-    representation to ``int64`` (:func:`configure_lane_representation`
-    or ``REPRO_SIM_LANES``) restores the historical wide-design
-    fallback to the scalar loop; pinning ``spill`` forces every group
-    onto object lanes.
+    Groups follow the :func:`lane_representation` width census: plain
+    ``int64`` lanes, or multi-word ``spill`` lanes when any signal or
+    memory is wider than the int64 budget.  Pinning the representation
+    to ``int64`` (:func:`configure_lane_representation` or
+    ``REPRO_SIM_LANES``) restores the historical wide-design fallback to
+    the scalar loop; pinning ``spill`` forces every group onto object
+    lanes.
     """
-    pinned = configured_lane_representation()
-    if pinned == "spill":
-        return "spill"
-    wide = any(
-        sig.width > _MAX_LANE_WIDTH for sig in design.signals.values()
-    ) or any(
-        memory.width > _MAX_LANE_WIDTH
-        for memory in design.memories.values()
-    )
-    if not wide:
-        return "int64"
-    if pinned == "int64":
+    rep = lane_representation(design)
+    if rep == "int64" and _is_wide(design):
         raise UnbatchableDesign(
             f"width exceeds the {_MAX_LANE_WIDTH}-bit int64 lane budget "
             "(lane representation pinned to int64)"
         )
-    return "spill"
+    return rep
 
 
 def _lockstep_shape_digest(design: Design) -> str:
@@ -2241,7 +2175,7 @@ class LockstepSimulator(BatchSimulator):
             return  # every candidate is decided; nothing left to observe
         group = self.group
         for _ in range(self._max_rounds):
-            current = self._trigger_bits()
+            current = self._trigger_snapshot()
             fired: List[tuple] = []
             fired_writes: set = set()
             for j, (triggers, block_variants) in enumerate(group.seq_plan):

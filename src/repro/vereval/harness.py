@@ -293,8 +293,8 @@ def _check_all_vectors_batch(
     bookkeeping) is identical either way: comparison and bookkeeping run
     on :class:`repro.sim.retire.RetireEngine` in all-vectors mode (lane
     = stimulus vector).  The lane backend follows the candidate's width
-    census — bitslice for 1-bit-heavy designs, spill (exact python-int
-    lanes) for >63-bit datapaths, int64 otherwise.
+    census — spill (exact python-int lanes) for >63-bit datapaths, int64
+    otherwise.
     """
     from repro.sim import default_backend
 
@@ -311,9 +311,9 @@ def _check_all_vectors_batch(
     ):
         return None
     from repro.sim.batch import (
+        BatchSimulator,
         batch_design,
         is_stateless_comb,
-        make_batch_simulator,
     )
     from repro.sim.compile import UncompilableDesign
     from repro.sim.retire import RetireEngine, lane_vector
@@ -324,7 +324,7 @@ def _check_all_vectors_batch(
         if not is_stateless_comb(bd):
             return None
         engine = RetireEngine(ref.output_names, ref.trace, n_lanes)
-        sim = make_batch_simulator(candidate, n_lanes=n_lanes)
+        sim = BatchSimulator(candidate, n_lanes=n_lanes)
         wide = bd.lane_dtype is object
         vector: Dict[str, object] = {}
         reset = interface.reset
@@ -530,7 +530,6 @@ def _run_lockstep_group(
             )
             lane_bad = engine.retire_cycle(cycle, actual, sim.active)
             if lane_bad.any():
-                obs.count("lockstep.lanes_retired", int(lane_bad.sum()))
                 sim.retire_lanes(lane_bad)
                 if not sim.active.any():
                     return results

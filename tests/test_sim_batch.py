@@ -35,9 +35,7 @@ from repro.sim import (
     sweep_random_stimulus,
 )
 from repro.sim import cache as sim_cache
-from repro.sim import make_batch_simulator
 from repro.sim.batch import is_stateless_comb
-from repro.sim.bitslice import BitsliceSimulator
 from repro.utils.rng import DeterministicRNG
 from repro.vereval import build_problem_set
 from repro.vereval.problems import EvalProblem
@@ -354,16 +352,14 @@ class TestBatchTestbench:
 
 
 class TestLaneRepresentationMatrix:
-    """Identity across the int64 / spill / bitslice lane backends.
+    """Identity across the int64 / spill lane backends.
 
     Each representation must stay lane-for-lane identical to the scalar
     compiled backend; a pin the design cannot honour falls back to the
     scalar path, which is itself identity-checked by ``sweep_module``.
     """
 
-    @pytest.mark.parametrize(
-        "representation", ["int64", "spill", "bitslice"]
-    )
+    @pytest.mark.parametrize("representation", ["int64", "spill"])
     @pytest.mark.parametrize("family", ["alu", "traffic_fsm", "lfsr"])
     def test_pinned_representation_lane_identical(
         self, representation, family
@@ -377,9 +373,9 @@ class TestLaneRepresentationMatrix:
         finally:
             configure_lane_representation(previous)
 
-    def test_bitheavy_design_picks_bitslice(self):
-        # 1-bit-dominated control logic: the width census selects the
-        # bit-sliced backend, and the facade builds its simulator.
+    def test_bitheavy_design_picks_int64(self):
+        # 1-bit-dominated control logic fits the int64 lane budget, so
+        # the width census keeps it on int64 lanes and sweeps vectorize.
         source = (
             "module ctl(input a, input b, input c, input d,"
             " output x, output y, output z);"
@@ -389,16 +385,32 @@ class TestLaneRepresentationMatrix:
             " endmodule"
         )
         design = build(source, "ctl")
-        assert lane_representation(design) == "bitslice"
-        assert batch_design(design, 8).representation == "bitslice"
-        sim = make_batch_simulator(design, n_lanes=8)
-        assert isinstance(sim, BitsliceSimulator)
+        assert lane_representation(design) == "int64"
+        assert batch_design(design, 8).representation == "int64"
         batch = sweep_random_stimulus(design, 12, range(8), clock=None)
         scalar = sweep_random_stimulus(
             design, 12, range(8), clock=None, backend="compiled"
         )
         assert batch.vectorized
         assert batch.traces == scalar.traces
+
+    def test_unknown_representation_is_refused(self, monkeypatch):
+        # A stale pin naming a removed representation must fail loudly
+        # with the accepted values, not silently fall back to the census.
+        with pytest.raises(ValueError, match="'int64', 'spill', 'auto'"):
+            configure_lane_representation("bitslice")
+        previous = configure_lane_representation(None)
+        try:
+            monkeypatch.setenv("REPRO_SIM_LANES", "bitslice")
+            design = build(
+                "module m(input a, output y); assign y = ~a; endmodule", "m"
+            )
+            with pytest.raises(
+                ValueError, match="'int64', 'spill', 'auto'"
+            ):
+                lane_representation(design)
+        finally:
+            configure_lane_representation(previous)
 
     def test_spill_divergence_replays_identically(self):
         # A dynamic field write past the spill guard (sig_width + 64)
@@ -443,7 +455,7 @@ class TestLaneRepresentationMatrix:
 @given(
     family=st.sampled_from(ALL_FAMILIES),
     seed=st.integers(0, 2**18),
-    representation=st.sampled_from(["int64", "spill", "bitslice"]),
+    representation=st.sampled_from(["int64", "spill"]),
 )
 def test_fuzz_representation_identity(family, seed, representation):
     module = generate_family(

@@ -408,6 +408,25 @@ class TestRetirementBookkeeping:
         assert {v.equivalent for v in many[1:]} == {False}
         assert all(v.first_mismatch_cycle is not None for v in many[1:])
 
+    def test_retired_lanes_counted_once(self):
+        # Three of four lanes mismatch: the retirement engine counts each
+        # retired lane exactly once, and the lockstep loop adds no
+        # duplicate counter of its own.
+        problem = _dut_problem(cycles=32)
+        ref = harness._golden_ref(problem)
+        sources = [
+            _dut(),
+            _dut(op_stage="a & b"),
+            _dut(op_mix="a | b"),
+            _dut(op_sum="a - b"),
+        ]
+        designs = [build(source, "dut") for source in sources]
+        retired = obs.counter_value("retire.lanes_retired")
+        results = harness._run_lockstep_group(ref, designs, problem)
+        assert [r.equivalent for r in results] == [True, False, False, False]
+        assert obs.counter_value("retire.lanes_retired") == retired + 3
+        assert obs.counter_value("lockstep.lanes_retired") == 0
+
     def test_kill_switch_forces_scalar(self, monkeypatch):
         problem = _dut_problem()
         calls = []
