@@ -14,8 +14,8 @@ Claims, measured at bench scale:
   one clocked problem simulating one lane each under the shared golden
   stimulus (:func:`repro.vereval.check_candidates_lockstep`), with
   structural grouping, AST-level compile sharing, mismatch retirement,
-  and dirty-level skipping — beats checking the same candidates one at
-  a time on the scalar path by >=2x end to end (parse + elaborate +
+  and dirty-level skipping — beats checking the same 48 candidates one
+  at a time on the scalar path by >=2x end to end (parse + elaborate +
   compile + simulate + verdict), candidate-for-candidate identical;
 * a pool-worker-shaped evaluation run (fresh in-process caches, golden
   elaboration + trace + duplicate candidate checks) with a warm
@@ -26,7 +26,9 @@ Claims, measured at bench scale:
   census) lockstep checking beats the scalar candidate loop by >=1.5x;
   on a wide (>63-bit) datapath the multi-word spill lanes beat the
   historical ``UnbatchableDesign`` scalar fallback sweep by >=3x — all
-  lane-for-lane / verdict-for-verdict identical.
+  lane-for-lane / verdict-for-verdict identical.  The same file records,
+  without a floor, the lockstep/scalar ratio at 4-48 lanes: the sweep
+  behind the harness's ``_MIN_LOCKSTEP_LANES`` group floor.
 
 ``bench_sim_perf.py`` and ``bench_eval_perf.py`` guard the scalar paths;
 this file only adds claims, it does not relax theirs.
@@ -440,7 +442,7 @@ def _record_lanes(lever, text, **values):
     )
     combined = "\n\n".join(
         _LANES_TEXT[key]
-        for key in ("lockstep", "wide")
+        for key in ("lockstep", "wide", "break_even")
         if key in _LANES_TEXT
     )
     write_result("lanes", combined, values=dict(_LANES_VALUES))
@@ -638,4 +640,54 @@ def test_wide_datapath_spill_sweep_speedup():
     )
     assert speedup >= 3.0, (
         f"spill sweep only {speedup:.2f}x faster than the scalar fallback"
+    )
+
+
+_BREAK_EVEN_LANES = (4, 8, 16, 32, 48)
+
+
+def test_lockstep_lane_break_even_sweep():
+    # A record, not a claim: how the lockstep/scalar ratio grows with the
+    # lane count on one shape-compatible group, simulation only (designs
+    # compiled once up front).  It backs the harness's group floor,
+    # ``_MIN_LOCKSTEP_LANES``; no threshold is asserted on the timings.
+    problem = _lockstep_problem()
+    ref = harness._golden_ref(problem)
+    sources = _lockstep_candidates(max(_BREAK_EVEN_LANES))
+    designs = [
+        elaborate(parse_source(source), "lockstep_dut") for source in sources
+    ]
+    rows, values = [], {}
+    for lanes in _BREAK_EVEN_LANES:
+        group = designs[:lanes]
+
+        def run_lockstep():
+            return harness._run_lockstep_group(ref, group, problem)
+
+        def run_scalar():
+            return [
+                harness._check_against_trace(ref, design, problem)
+                for design in group
+            ]
+
+        assert run_lockstep() == run_scalar()  # warms both, verdict-identical
+        lockstep_seconds, _ = _timed(run_lockstep, repeats=3)
+        scalar_seconds, _ = _timed(run_scalar, repeats=3)
+        ratio = scalar_seconds / lockstep_seconds
+        rows.append(
+            f"{lanes:5d} lanes: scalar {scalar_seconds:8.4f} s  "
+            f"lockstep {lockstep_seconds:8.4f} s  ratio {ratio:5.2f} x"
+        )
+        values[f"{lanes}_scalar_seconds"] = scalar_seconds
+        values[f"{lanes}_lockstep_seconds"] = lockstep_seconds
+        values[f"{lanes}_ratio"] = ratio
+    _record_lanes(
+        "break_even",
+        f"lockstep vs scalar break-even sweep, one shape-compatible group x "
+        f"{_LOCKSTEP_CYCLES} cycles (simulation only; harness floor "
+        f"_MIN_LOCKSTEP_LANES = {harness._MIN_LOCKSTEP_LANES})\n"
+        + "\n".join(rows),
+        cycles=_LOCKSTEP_CYCLES,
+        min_lockstep_lanes=harness._MIN_LOCKSTEP_LANES,
+        **values,
     )

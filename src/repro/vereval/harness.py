@@ -64,9 +64,18 @@ LOCKSTEP_CHECK_ENABLED = (
     os.environ.get("REPRO_SIM_LOCKSTEP_CHECK", "1") != "0"
 )
 
-#: lockstep groups smaller than this run on the scalar path: a single
-#: candidate gains nothing from lane form, it only pays numpy overhead
-_MIN_LOCKSTEP_LANES = 2
+#: lockstep groups smaller than this run on the scalar compiled path.
+#: A lockstep run pays a nearly flat numpy per-op overhead per cycle
+#: (edge firing, seq blocks, settle) whatever its lane count — about
+#: 50 ms for 256 cycles — while a scalar check costs about 3.5 ms per
+#: candidate.  Both are linear in cycles, so the lane count alone sets
+#: the ratio.  Lockstep speedup over the scalar loop, on vereval
+#: problem groups replicated to N lanes: 0.38x at 4, 0.59x at 8, 0.85x
+#: at 12, 1.18x at 16, 1.68x at 24, 3.39x at 48 (break-even near 14;
+#: group compile and the grouping probe push it up).
+#: ``benchmarks/bench_batch_perf.py`` records the sweep on its own DUT.
+#: Pools smaller than this also skip the shape-digest grouping probe.
+_MIN_LOCKSTEP_LANES = 16
 
 
 @dataclass
@@ -555,11 +564,14 @@ def _check_many_against_trace(
 
     Returns one :class:`EquivalenceResult` per candidate, identical to
     calling :func:`_check_against_trace` per candidate (enforced by
-    ``tests/test_sim_lockstep.py``).  Sequential candidates group by
-    :func:`~repro.sim.batch.lockstep_shape_digest` and run one lane each
-    under the shared golden stimulus; stragglers (unique shapes, designs
-    that do not lane-lower, lanes the runner could not decide) take the
-    scalar path.  A ``SimulationError`` escaping a scalar check maps to
+    ``tests/test_sim_lockstep.py``).  Lockstep pays only for groups of at
+    least ``_MIN_LOCKSTEP_LANES`` candidates: a sequential pool that
+    large groups by :func:`~repro.sim.batch.lockstep_shape_digest`, and
+    each group of that size runs one lane per candidate under the shared
+    golden stimulus.  Everything else — smaller pools (which skip the
+    grouping probe), smaller groups, designs that do not lane-lower,
+    lanes the runner could not decide — takes the scalar compiled
+    path.  A ``SimulationError`` escaping a scalar check maps to
     the ``"simulation"`` failure reason, as in
     :func:`check_candidate_source`.
     """
@@ -652,20 +664,24 @@ def check_candidates_lockstep(
     doing the work batched:
 
     * duplicate sources parse, elaborate, and check once;
-    * sequential candidates with compatible compiled shapes
+    * groups of at least ``_MIN_LOCKSTEP_LANES`` (16) sequential
+      candidates with compatible compiled shapes
       (:func:`~repro.sim.batch.lockstep_shape_digest`) run **in
       lockstep**, one lane per candidate, under the shared golden
-      stimulus, with mismatching lanes retired at their first bad cycle;
+      stimulus, with mismatching lanes retired at their first bad cycle
+      (below that size a lockstep run's flat per-cycle numpy overhead
+      costs more than checking the candidates one by one);
     * everything else — combinational problems (which keep the
-      all-vectors fast path), unique shapes, designs that do not
+      all-vectors fast path), smaller groups, designs that do not
       lane-lower, and lanes hit by a runtime
-      :class:`~repro.sim.batch.BatchDivergence` — replays on the scalar
+      :class:`~repro.sim.batch.BatchDivergence` — runs on the scalar
       backends under the usual fallback contract;
     * with the :mod:`repro.sim.cache` disk tier enabled, elaborated
       candidates and their grouping digests persist across workers/runs.
 
     Set ``REPRO_SIM_LOCKSTEP_CHECK=0`` to force the scalar path (the
-    differential tests and benchmarks use this to time the baseline).
+    differential tests and benchmarks use this to time the baseline);
+    it only changes anything for groups at or above the threshold.
     """
     sources = list(candidate_sources)
     with obs.span(

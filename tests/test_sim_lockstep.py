@@ -51,6 +51,19 @@ ALL_FAMILIES = sorted(FAMILIES)
 SEQUENTIAL_FAMILIES = ["fifo", "traffic_fsm", "lfsr", "shift_register"]
 
 
+@pytest.fixture(autouse=True)
+def _lockstep_from_two_lanes(monkeypatch):
+    """Let every group of two or more candidates run in lockstep.
+
+    The production floor keeps small groups on the scalar path, where
+    lockstep does not pay; the identity tests here use 2-6 candidates
+    and must compare real lockstep lanes against the scalar loop, not
+    scalar against scalar.  Tests of the production routing override
+    this fixture.
+    """
+    monkeypatch.setattr(harness, "_MIN_LOCKSTEP_LANES", 2)
+
+
 def build(source, top):
     return elaborate(parse_source(source), top)
 
@@ -428,6 +441,9 @@ class TestRetirementBookkeeping:
         assert obs.counter_value("lockstep.lanes_retired") == 0
 
     def test_kill_switch_forces_scalar(self, monkeypatch):
+        # Under the two-lane pin the pair forms a lockstep group, so the
+        # kill switch has a group to suppress.
+        assert harness._MIN_LOCKSTEP_LANES == 2
         problem = _dut_problem()
         calls = []
         original = harness._run_lockstep_group
@@ -447,6 +463,55 @@ class TestRetirementBookkeeping:
         assert off == [
             harness.check_candidate_source(problem, s) for s in sources
         ]
+
+
+class TestRoutingAtProductionThreshold:
+    """Which pools reach lockstep under the production group floor."""
+
+    @pytest.fixture(autouse=True)
+    def _lockstep_from_two_lanes(self):
+        """Overrides the module-wide pin: no pin here."""
+
+    def _pool(self, count):
+        # Distinct texts over two shape-compatible structures (one
+        # passing, one failing): they dedup only by text, so every
+        # candidate reaches the sequential pool.
+        variants = [_dut(), _dut(op_sum="a - b")]
+        return [
+            variants[index % 2] + f"\n// resample {index}\n"
+            for index in range(count)
+        ]
+
+    def _spy(self, monkeypatch, name):
+        calls = []
+        original = getattr(harness, name)
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, spy)
+        return calls
+
+    def test_pool_below_threshold_stays_scalar(self, monkeypatch):
+        problem = _dut_problem(problem_id="route-below")
+        sources = self._pool(harness._MIN_LOCKSTEP_LANES - 1)
+        probes = self._spy(monkeypatch, "_candidate_shape_digest")
+        groups = self._spy(monkeypatch, "_run_lockstep_group")
+        outcomes = assert_lockstep_identical(problem, sources)
+        assert probes == []
+        assert groups == []
+        assert {passed for passed, _ in outcomes} == {True, False}
+
+    def test_pool_at_threshold_runs_one_group(self, monkeypatch):
+        problem = _dut_problem(problem_id="route-at")
+        sources = self._pool(harness._MIN_LOCKSTEP_LANES)
+        groups = self._spy(monkeypatch, "_run_lockstep_group")
+        outcomes = assert_lockstep_identical(problem, sources)
+        assert [len(designs) for _, designs, _ in groups] == [
+            harness._MIN_LOCKSTEP_LANES
+        ]
+        assert {passed for passed, _ in outcomes} == {True, False}
 
 
 # ---------------------------------------------------------------------------
